@@ -680,6 +680,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "solve":
+        from repro.rrset.storage import Placement
+
+        try:
+            Placement.resolve(args.storage, args.slab_dir, args.backing, args.spill_dir)
+        except ReproError:
+            # argparse already restricts both flags to valid values, so
+            # the one combination the resolver rejects is the reason.
+            print("error: --backing mmap requires --storage shared", file=sys.stderr)
+            return 2
     try:
         return _run_observed(args)
     except ReproError as exc:

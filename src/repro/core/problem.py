@@ -19,6 +19,7 @@ from repro.exceptions import ConfigurationError
 from repro.graphs.digraph import DiGraph
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import default_num_rr_sets
+from repro.rrset.storage import HEAP, Placement
 from repro.runtime.deadline import DeadlineLike
 from repro.utils.rng import SeedLike
 
@@ -130,10 +131,7 @@ class CIMProblem:
         deadline: "DeadlineLike" = None,
         workers: Optional[int] = None,
         supervision=None,
-        storage: Optional[str] = None,
-        slab_dir=None,
-        backing: Optional[str] = None,
-        spill_dir=None,
+        placement: Placement = HEAP,
         **adaptive_options,
     ) -> RRHypergraph:
         """Build the random hyper-graph shared by the Section-8 solvers.
@@ -151,17 +149,9 @@ class CIMProblem:
         (see :mod:`repro.parallel.supervisor`); see
         :meth:`repro.rrset.hypergraph.RRHypergraph.build`.
 
-        ``storage`` selects the RR-set transport: ``"heap"`` (default)
-        pickles sampled chunks back through the pool, ``"shared"`` has
-        workers write member streams into memory-mapped slabs under
-        ``slab_dir`` (see :mod:`repro.rrset.storage`).  Both modes
-        produce bit-identical hyper-graphs.
-
-        ``backing`` selects where the assembled hyper-graph CSR lives:
-        ``"heap"`` (default) or ``"mmap"`` — disk-backed spill files under
-        ``spill_dir`` (``REPRO_SPILL_DIR`` or the system temp dir when
-        unset), for graphs whose hyper-graph exceeds RAM.  Requires
-        ``storage="shared"``; placement never changes the CSR bytes.
+        ``placement`` is a :class:`~repro.rrset.storage.Placement`
+        (default heap): the sampling transport and where the CSR lives.
+        It never changes the CSR bytes.
         """
         if num_hyperedges == "auto":
             from repro.rrset.adaptive import adaptive_hypergraph
@@ -172,10 +162,7 @@ class CIMProblem:
                 deadline=deadline,
                 workers=workers,
                 supervision=supervision,
-                storage=storage,
-                slab_dir=slab_dir,
-                backing=backing,
-                spill_dir=spill_dir,
+                placement=placement,
                 **adaptive_options,
             ).hypergraph
         if isinstance(num_hyperedges, str):
@@ -199,8 +186,5 @@ class CIMProblem:
             deadline=deadline,
             workers=workers,
             supervision=supervision,
-            storage=storage,
-            slab_dir=slab_dir,
-            backing=backing,
-            spill_dir=spill_dir,
+            placement=placement,
         )

@@ -47,6 +47,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.rrset.coverage import max_coverage
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sample_size import default_num_rr_sets
+from repro.rrset.storage import Placement
 from repro.runtime.deadline import Deadline, DeadlineLike, as_deadline
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.timing import TimingBreakdown
@@ -494,20 +495,13 @@ def solve(
         reproduce unconstrained results bit for bit at any worker count.
         Active constraints are recorded in ``extras["constraints"]`` and
         the returned configuration is verified feasible.
-    storage / slab_dir:
-        RR-set transport for the hyper-graph build: ``"heap"`` (default)
-        pickles sampled chunks back through the pool, ``"shared"`` has
-        workers write member streams into memory-mapped slabs under
-        ``slab_dir`` (:mod:`repro.rrset.storage`).  Never changes
-        results — both modes are bit-identical; ignored when a prebuilt
-        ``hypergraph`` is passed.
-    backing / spill_dir:
-        Where the assembled hyper-graph CSR lives: ``"heap"`` (default)
-        or ``"mmap"`` — spill files under ``spill_dir``
-        (``REPRO_SPILL_DIR`` or the system temp dir), keeping the
-        coordinator's resident set independent of θ.  Requires
-        ``storage="shared"``; like ``storage``, never changes results
-        and is ignored with a prebuilt ``hypergraph``.
+    storage / slab_dir / backing / spill_dir:
+        Where the hyper-graph build puts its bytes, resolved once into a
+        :class:`~repro.rrset.storage.Placement` (see
+        :meth:`~repro.rrset.storage.Placement.resolve` for the modes,
+        directory defaults and the one rejected combination).  Never
+        changes results; unused with a prebuilt ``hypergraph``, but an
+        invalid combination is rejected even then.
     options:
         Method-specific knobs (``step``, ``grid_step``, ``max_rounds``...).
     """
@@ -518,6 +512,7 @@ def solve(
             f"unknown method {method!r}; choose from {available_methods()}"
         ) from None
     solver = entry.fn
+    placement = Placement.resolve(storage, slab_dir, backing, spill_dir)
 
     run_budget: Deadline = as_deadline(deadline)
     options = dict(options)
@@ -567,10 +562,7 @@ def solve(
             # here (deterministic, hyper-graph-free).
             resolved_constraints = resolve(None)
             with timings.phase("hypergraph"):
-                adaptive_options.setdefault("storage", storage)
-                adaptive_options.setdefault("slab_dir", slab_dir)
-                adaptive_options.setdefault("backing", backing)
-                adaptive_options.setdefault("spill_dir", spill_dir)
+                adaptive_options.setdefault("placement", placement)
                 adaptive_result = adaptive_hypergraph(
                     problem,
                     seed=seed,
@@ -598,10 +590,7 @@ def solve(
                     deadline=run_budget,
                     workers=workers,
                     supervision=supervision,
-                    storage=storage,
-                    slab_dir=slab_dir,
-                    backing=backing,
-                    spill_dir=spill_dir,
+                    placement=placement,
                 )
             hypergraph_truncated = hypergraph.num_hyperedges < requested
         else:

@@ -21,7 +21,7 @@ from typing import Iterator, Tuple
 import numpy as np
 
 from repro.exceptions import GraphError, NodeNotFoundError
-from repro.utils.spill import empty_array, is_spill_backed, pack_array, unpack_array
+from repro.utils.spill import pack_array, spill_like, unpack_array
 
 __all__ = ["DiGraph"]
 
@@ -223,7 +223,6 @@ class DiGraph:
         the graphs where that would matter.)
         """
         n = self.num_nodes
-        backing = "mmap" if is_spill_backed(self.out_targets) else None
         in_degree = np.bincount(self.out_targets, minlength=n).astype(np.int64)
         in_offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(in_degree, out=in_offsets[1:])
@@ -233,12 +232,8 @@ class DiGraph:
         # Stable sort groups edges by target while keeping sources ordered,
         # so each in-neighbor slice comes out sorted as well.
         order = np.argsort(self.out_targets, kind="stable")
-        in_sources = empty_array(
-            self.num_edges, np.int32, backing=backing, name_hint="in-sources"
-        )
-        in_probs = empty_array(
-            self.num_edges, np.float64, backing=backing, name_hint="in-probs"
-        )
+        in_sources = spill_like(self.out_targets, self.num_edges, np.int32, "in-sources")
+        in_probs = spill_like(self.out_targets, self.num_edges, np.float64, "in-probs")
         np.take(sources, order, out=in_sources)
         np.take(self.out_probs, order, out=in_probs)
         return in_offsets, in_sources, in_probs

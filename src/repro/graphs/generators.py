@@ -216,15 +216,19 @@ def powerlaw_configuration(
     through spill files under ``spill_dir``
     (:mod:`repro.graphs.streaming`), capping heap usage at O(n) while
     producing the bit-identical graph; the default keeps everything on
-    the heap.
+    the heap.  The spill root resolves as in
+    :meth:`repro.rrset.storage.Placement.resolve`.
     """
     if n <= 1:
         raise GraphError("powerlaw_configuration requires n > 1")
     if exponent <= 1.0:
         raise GraphError(f"exponent must exceed 1, got {exponent}")
-    from repro.utils.spill import resolve_backing
+    from repro.rrset.storage import Placement
 
-    backing_mode = resolve_backing(backing)
+    # A graph has no slab transport: only the heap-or-spill choice applies.
+    placement = Placement.resolve(
+        "shared" if backing == "mmap" else None, backing=backing, spill_dir=spill_dir
+    )
     rng = as_generator(seed)
     max_degree = max(2, int(math.sqrt(n) * 2))
     support = np.arange(1, max_degree + 1, dtype=np.float64)
@@ -242,14 +246,14 @@ def powerlaw_configuration(
     if degrees.sum() % 2:
         degrees[int(rng.integers(0, n))] += 1
 
-    if backing_mode == "mmap":
+    if placement.kind == "mmap":
         # The out-of-core tail consumes the identical RNG stream (its
         # only remaining draw is the stub shuffle, whose consumption
         # depends solely on length), so both paths emit the same graph.
         from repro.graphs.streaming import streaming_configuration_csr
 
         return streaming_configuration_csr(
-            n, degrees, rng, directed=directed, spill_dir=spill_dir
+            n, degrees, rng, directed=directed, spill_dir=placement.spill_dir
         )
 
     stubs = np.repeat(np.arange(n, dtype=np.int64), degrees)

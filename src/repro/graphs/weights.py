@@ -18,7 +18,7 @@ import numpy as np
 from repro.exceptions import GraphError
 from repro.graphs.digraph import DiGraph
 from repro.utils.rng import SeedLike, as_generator
-from repro.utils.spill import is_spill_backed, release_pages, spill_array
+from repro.utils.spill import is_spill_backed, release_pages, spill_like
 
 __all__ = [
     "assign_weighted_cascade",
@@ -64,12 +64,12 @@ def _weighted_cascade_spill(graph: DiGraph, alpha: float, chunk: int = 1 << 23) 
         # Isolated targets (in-degree 0) produce inf here but are never
         # gathered (they appear in no edge) nor repeated (count 0).
         per_target = alpha / np.diff(in_offsets).astype(np.float64)
-    out_probs = spill_array(graph.num_edges, np.float64, name_hint="wc-out-probs")
+    out_probs = spill_like(graph.out_targets, graph.num_edges, np.float64, "wc-out-probs")
     for start in range(0, graph.num_edges, chunk):
         block = np.asarray(graph.out_targets[start : start + chunk])
         out_probs[start : start + block.size] = per_target[block]
     release_pages(out_probs)
-    in_probs = spill_array(graph.num_edges, np.float64, name_hint="wc-in-probs")
+    in_probs = spill_like(graph.out_targets, graph.num_edges, np.float64, "wc-in-probs")
     node = 0
     while node < n:
         end = int(np.searchsorted(in_offsets, in_offsets[node] + chunk, side="right")) - 1

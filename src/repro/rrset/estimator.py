@@ -160,18 +160,12 @@ class HypergraphObjective:
         # a spill-backed hyper-graph these theta-sized arrays land in
         # spill files too (rebuild and the delta updates all write
         # in-place, so the placement survives the objective's lifetime).
-        from repro.utils.spill import empty_array, is_spill_backed
+        from repro.utils.spill import spill_like
 
-        backing = "mmap" if is_spill_backed(hypergraph.edge_nodes) else None
-        self._zero_count = empty_array(
-            hypergraph.num_hyperedges, np.int64, backing=backing,
-            name_hint="zero-count",
-        )
+        members, edges = hypergraph.edge_nodes, hypergraph.num_hyperedges
+        self._zero_count = spill_like(members, edges, np.int64, "zero-count")
         self._zero_count[:] = 0
-        self._nonzero_prod = empty_array(
-            hypergraph.num_hyperedges, np.float64, backing=backing,
-            name_hint="nonzero-prod",
-        )
+        self._nonzero_prod = spill_like(members, edges, np.float64, "nonzero-prod")
         self._nonzero_prod[:] = 1.0
 
         # Reduceat geometry, fixed by the immutable hyper-graph: segment

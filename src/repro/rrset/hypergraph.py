@@ -36,13 +36,13 @@ from typing import Iterable, Optional, Sequence, Union
 import numpy as np
 
 from repro.diffusion.base import DiffusionModel
-from repro.exceptions import CheckpointError, EstimationError, StorageError
+from repro.exceptions import CheckpointError, EstimationError
 from repro.obs.context import get_metrics, get_tracer
-from repro.rrset.sampler import sample_rr_csr, sample_rr_sets
-from repro.rrset.storage import DtypePolicy, resolve_storage
+from repro.rrset.sampler import sample_rr_csr
+from repro.rrset.storage import HEAP, DtypePolicy, Placement
 from repro.runtime.deadline import DeadlineLike
 from repro.utils.rng import SeedLike
-from repro.utils.spill import empty_array, is_spill_backed, resolve_backing
+from repro.utils.spill import spill_like
 
 __all__ = ["RRHypergraph"]
 
@@ -113,7 +113,6 @@ class RRHypergraph:
         # spill-backed assembly gets a spill-backed inverted index); the
         # repeat/argsort scratch stays on the heap — the hyper-graph
         # member stream is small next to the graph it samples from.
-        backing = "mmap" if is_spill_backed(self.edge_nodes) else None
         degree = np.bincount(self.edge_nodes, minlength=num_nodes)
         node_offsets = np.zeros(num_nodes + 1, dtype=np.int64)
         np.cumsum(degree, out=node_offsets[1:])
@@ -123,9 +122,8 @@ class RRHypergraph:
             np.arange(self.num_hyperedges, dtype=policy.edge_ids), sizes
         )
         order = np.argsort(self.edge_nodes, kind="stable")
-        self.node_edges = empty_array(
-            int(edge_nodes.size), policy.edge_ids, backing=backing,
-            name_hint="node-edges",
+        self.node_edges = spill_like(
+            self.edge_nodes, int(edge_nodes.size), policy.edge_ids, "node-edges"
         )
         np.take(edge_ids, order, out=self.node_edges)
 
@@ -146,10 +144,7 @@ class RRHypergraph:
         workers: Optional[int] = None,
         chunk_size: Optional[int] = None,
         supervision=None,
-        storage: Optional[str] = None,
-        slab_dir=None,
-        backing: Optional[str] = None,
-        spill_dir=None,
+        placement: Placement = HEAP,
     ) -> "RRHypergraph":
         """Sample ``num_hyperedges`` RR sets from ``model`` and index them.
 
@@ -165,52 +160,25 @@ class RRHypergraph:
         correctly at another.  ``supervision`` sets the pooled build's
         crash/straggler recovery policy (see
         :mod:`repro.parallel.supervisor`); recovered builds are
-        bit-identical to fault-free ones.
-
-        ``storage="shared"`` routes worker results through memory-mapped
-        slab files (:mod:`repro.rrset.storage`) instead of pickling the
-        member arrays back — same bits, a fraction of the transfer cost
-        at large ``theta``; ``slab_dir`` overrides where the slabs live.
-
-        ``backing="mmap"`` (shared storage only) assembles the CSR
-        arrays into spill files under ``spill_dir`` instead of the heap,
-        and the derived inverted index follows; the hyper-graph's
-        contents are bit-identical to a heap-backed build.
+        bit-identical to fault-free ones.  ``placement`` (see
+        :class:`~repro.rrset.storage.Placement`) picks the sampling
+        transport and where the CSR arrays live; the derived inverted
+        index follows them.  It never changes the hyper-graph's contents.
         """
-        if resolve_backing(backing) == "mmap" and resolve_storage(storage) != "shared":
-            raise StorageError(
-                "backing='mmap' requires storage='shared' (the heap transport "
-                "assembles on the coordinator heap)"
-            )
         with get_tracer().span("hypergraph.build", theta=num_hyperedges) as span:
-            if resolve_storage(storage) == "shared":
-                sizes, members = sample_rr_csr(
-                    model,
-                    num_hyperedges,
-                    seed=seed,
-                    deadline=deadline,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    supervision=supervision,
-                    storage="shared",
-                    slab_dir=slab_dir,
-                    backing=backing,
-                    spill_dir=spill_dir,
-                )
-                edge_offsets = np.zeros(sizes.size + 1, dtype=np.int64)
-                np.cumsum(sizes, out=edge_offsets[1:])
-                hypergraph = cls.from_csr(model.num_nodes, edge_offsets, members)
-            else:
-                rr_sets = sample_rr_sets(
-                    model,
-                    num_hyperedges,
-                    seed=seed,
-                    deadline=deadline,
-                    workers=workers,
-                    chunk_size=chunk_size,
-                    supervision=supervision,
-                )
-                hypergraph = cls(model.num_nodes, rr_sets)
+            sizes, members = sample_rr_csr(
+                model,
+                num_hyperedges,
+                seed=seed,
+                deadline=deadline,
+                workers=workers,
+                chunk_size=chunk_size,
+                supervision=supervision,
+                placement=placement,
+            )
+            hypergraph = cls.from_csr(
+                model.num_nodes, np.concatenate(([0], np.cumsum(sizes))), members
+            )
             span.set(
                 num_hyperedges=hypergraph.num_hyperedges,
                 total_members=int(hypergraph.edge_nodes.size),
@@ -226,9 +194,8 @@ class RRHypergraph:
         """A new hyper-graph with ``rr_sets`` appended as fresh hyper-edges.
 
         Materializes the batch into a CSR pair and delegates to
-        :meth:`extend_csr` (the slab-assembly path of the adaptive
-        driver uses ``extend_csr`` directly, skipping this per-edge
-        list).
+        :meth:`extend_csr` (the adaptive driver calls ``extend_csr``
+        directly with the sampler's CSR output).
         """
         members = [np.asarray(h) for h in rr_sets]
         new_sizes = np.fromiter(
@@ -300,10 +267,8 @@ class RRHypergraph:
             # Extended arrays inherit the existing backing: a spill-backed
             # hyper-graph stays spill-backed through every instalment,
             # including ones that widen the dtype policy mid-extend.
-            backing = "mmap" if is_spill_backed(self.edge_nodes) else None
-            edge_nodes = empty_array(
-                total_members, policy.members, backing=backing,
-                name_hint="edge-nodes",
+            edge_nodes = spill_like(
+                self.edge_nodes, total_members, policy.members, "edge-nodes"
             )
             edge_nodes[:old_stream] = self.edge_nodes
             edge_nodes[old_stream:] = new_nodes
@@ -319,9 +284,8 @@ class RRHypergraph:
             node_offsets64 = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(old_counts + new_degree, out=node_offsets64[1:])
             out.node_offsets = node_offsets64.astype(policy.offsets, copy=False)
-            node_edges = empty_array(
-                total_members, policy.edge_ids, backing=backing,
-                name_hint="node-edges",
+            node_edges = spill_like(
+                self.edge_nodes, total_members, policy.edge_ids, "node-edges"
             )
             if old_stream:
                 # Destinations are positions below total_members, so the

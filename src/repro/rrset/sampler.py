@@ -14,6 +14,11 @@ parallel engine (:mod:`repro.parallel`): the requested count is
 pre-partitioned into fixed chunks, chunk ``i`` draws from child stream
 ``i`` of the root seed, and chunks are concatenated in order — the sampled
 hyper-graph is therefore bit-identical for any ``workers`` value.
+
+:func:`sample_rr_csr` is the one sampler; its
+:class:`~repro.rrset.storage.Placement` picks the transport (pickled
+chunks or slab files) and where the assembled arrays live.
+:func:`sample_rr_sets` is a list-of-arrays view of its result.
 """
 
 from __future__ import annotations
@@ -27,14 +32,10 @@ from repro.exceptions import EstimationError
 from repro.obs.context import get_metrics, get_tracer
 from repro.parallel.pool import DEFAULT_CHUNK_SIZE, partition_chunks, run_chunks
 from repro.parallel.supervisor import SupervisionLike
-from repro.rrset.storage import (
-    SlabStore,
-    member_dtype,
-    pickled_size,
-    resolve_storage,
-)
+from repro.rrset.storage import HEAP, Placement, SlabStore, member_dtype, pickled_size
 from repro.runtime.deadline import Deadline, DeadlineLike, as_deadline, deadline_iter
 from repro.utils.rng import SeedLike, child_sequences
+from repro.utils.spill import peak_rss_mb
 
 __all__ = ["sample_rr_sets", "sample_rr_csr"]
 
@@ -46,7 +47,7 @@ def _chunk_deadline(remaining: Optional[float]) -> Deadline:
     return Deadline.after(float(remaining))
 
 
-def _sample_chunk(
+def _rr_chunk_task(
     model: DiffusionModel,
     count: int,
     seed_seq: np.random.SeedSequence,
@@ -55,14 +56,17 @@ def _sample_chunk(
 ) -> List[np.ndarray]:
     """Sample one chunk of RR sets — the single shared sampling kernel.
 
+    On the heap placement this is the pool task itself and the sampled
+    arrays are pickled back.
+
     Roots (when not given) are drawn *before* any cascade so the chunk's
     root choices never depend on how far earlier cascades advanced the
     stream — the layout the checkpoint/resume determinism tests pin down.
     The adaptive-stride deadline polling of
     :func:`~repro.runtime.deadline.deadline_iter` bounds expiry overshoot
     to roughly one RR set's work even on dense graphs.  Both the heap
-    and the slab chunk tasks call exactly this function, so the two
-    storage modes draw identical streams by construction.
+    and the slab chunk tasks call exactly this function, so every
+    placement draws identical streams by construction.
     """
     rng = np.random.default_rng(seed_seq)
     if roots is None:
@@ -72,17 +76,6 @@ def _sample_chunk(
     for index in deadline_iter(count, budget):
         rr_sets.append(model.sample_rr_set(int(roots[index]), rng))
     return rr_sets
-
-
-def _rr_chunk_task(
-    model: DiffusionModel,
-    count: int,
-    seed_seq: np.random.SeedSequence,
-    roots: Optional[np.ndarray],
-    remaining: Optional[float],
-) -> List[np.ndarray]:
-    """Heap-storage chunk task: the sampled arrays are pickled back."""
-    return _sample_chunk(model, count, seed_seq, roots, remaining)
 
 
 def _rr_slab_chunk_task(
@@ -101,7 +94,7 @@ def _rr_slab_chunk_task(
     overwrite is idempotent; see :mod:`repro.rrset.storage`.
     """
     model, store, dtype = payload
-    rr_sets = _sample_chunk(model, count, seed_seq, roots, remaining)
+    rr_sets = _rr_chunk_task(model, count, seed_seq, roots, remaining)
     return store.write_chunk(index, rr_sets, dtype)
 
 
@@ -116,9 +109,9 @@ def _sampling_plan(
     """Validate the request and lay out the deterministic chunk plan.
 
     Returns ``(sizes, chunk_args)`` with one ``(size, sequence, roots)``
-    tuple per chunk, or ``None`` for an empty request.  Shared by the
-    heap and slab sampling entry points so both execute the *same* plan
-    (identical chunk boundaries and child seed streams).
+    tuple per chunk, or ``None`` for an empty request.  Every placement
+    executes this *same* plan (identical chunk boundaries and child seed
+    streams).
     """
     if count < 0:
         raise EstimationError(f"count must be non-negative, got {count}")
@@ -164,7 +157,47 @@ def sample_rr_sets(
     start_at: int = 0,
     supervision: "SupervisionLike" = None,
 ) -> List[np.ndarray]:
-    """Generate ``count`` random RR sets.
+    """Generate ``count`` random RR sets as a list of int64 arrays.
+
+    A view of :func:`sample_rr_csr` on the heap placement (same
+    parameters, same streams): each array holds the nodes of one
+    hyper-edge, its root included.  The list is shorter than ``count``
+    only when the deadline expired.
+    """
+    sizes, members = sample_rr_csr(
+        model,
+        count,
+        seed=seed,
+        roots=roots,
+        deadline=deadline,
+        workers=workers,
+        chunk_size=chunk_size,
+        start_at=start_at,
+        supervision=supervision,
+    )
+    if sizes.size == 0:
+        return []
+    return np.split(members.astype(np.int64), np.cumsum(sizes[:-1]))
+
+
+def sample_rr_csr(
+    model: DiffusionModel,
+    count: int,
+    seed: SeedLike = None,
+    roots: Optional[Sequence[int]] = None,
+    deadline: DeadlineLike = None,
+    workers: Optional[int] = None,
+    chunk_size: Optional[int] = None,
+    start_at: int = 0,
+    supervision: "SupervisionLike" = None,
+    placement: Placement = HEAP,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Generate ``count`` RR sets as a CSR pair ``(sizes, members)``.
+
+    ``sizes`` is ``int64`` per hyper-edge; ``members`` is the
+    concatenated member stream in the dtype policy's member width (see
+    :mod:`repro.rrset.storage`).  For a fixed seed the output is
+    bit-identical across worker counts and placements.
 
     Parameters
     ----------
@@ -173,8 +206,7 @@ def sample_rr_sets(
     count:
         Number of hyper-edges ``theta`` to generate.
     seed:
-        RNG seed (int / Generator / SeedSequence / None).  For a fixed
-        seed the output is identical for every ``workers`` value.
+        RNG seed (int / Generator / SeedSequence / None).
     roots:
         Optional explicit poll roots (length ``count``); default draws roots
         uniformly from ``V`` — the distribution required for the unbiased
@@ -208,205 +240,102 @@ def sample_rr_sets(
     supervision:
         Pool recovery policy (see :mod:`repro.parallel.supervisor`);
         never changes the sampled sets of a run that completes.
-
-    Returns
-    -------
-    List of int64 arrays; each contains the nodes of one hyper-edge
-    (its root is always included).  The list is shorter than ``count``
-    only when the deadline expired.
+    placement:
+        A :class:`~repro.rrset.storage.Placement`.  On ``heap``, chunks
+        pickle their sampled arrays back and the coordinator
+        concatenates them.  On ``shm``/``mmap``, each chunk writes its
+        members into a memory-mapped slab file under a per-run
+        :class:`~repro.rrset.storage.SlabStore` and pickles only a
+        ~100-byte receipt; the coordinator assembles the CSR arrays from
+        the slabs (into spill files for ``mmap``, keeping its resident
+        set independent of ``theta``) and removes them.  The
+        ``storage.*`` metrics record each transport's pickle volume.
     """
     plan = _sampling_plan(model, count, seed, roots, chunk_size, start_at)
-    if plan is None:
-        return []
-    sizes, chunk_args = plan
-
-    budget = as_deadline(deadline)
-    metrics = get_metrics()
-    with get_tracer().span(
-        "rrset.sample", theta=count, chunks=len(sizes), start_at=start_at
-    ) as span:
-        chunks, expired = run_chunks(
-            _rr_chunk_task,
-            model,
-            chunk_args,
-            workers=workers,
-            deadline=budget,
-            inject_site="sampler.chunk",
-            supervision=supervision,
-        )
-        # Chunk events come off the ordered results list, never from
-        # completion order, so traces stay identical across worker counts.
-        for index, chunk in enumerate(chunks):
-            span.event("chunk", index=index, planned=sizes[index], produced=len(chunk))
-            metrics.observe("rrset.chunk_items", len(chunk))
-        rr_sets = [rr for chunk in chunks for rr in chunk]
-        span.set(produced=len(rr_sets), truncated=expired)
-        metrics.inc("rrset.requested_total", count)
-        metrics.inc("rrset.sampled_total", len(rr_sets))
-        # Total member count = the width of the CSR stream the hyper-graph
-        # build will allocate; BENCH_cd.json reports it alongside timings.
-        metrics.inc("rrset.nodes_sampled_total", sum(rr.size for rr in rr_sets))
-        if expired:
-            metrics.inc("rrset.truncated_total")
-        if not rr_sets:
-            budget.check("sampling the first RR set")
-    return rr_sets
-
-
-def sample_rr_csr(
-    model: DiffusionModel,
-    count: int,
-    seed: SeedLike = None,
-    roots: Optional[Sequence[int]] = None,
-    deadline: DeadlineLike = None,
-    workers: Optional[int] = None,
-    chunk_size: Optional[int] = None,
-    start_at: int = 0,
-    supervision: "SupervisionLike" = None,
-    storage: Optional[str] = None,
-    slab_dir=None,
-    backing: Optional[str] = None,
-    spill_dir=None,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Generate ``count`` RR sets directly as a CSR pair ``(sizes, members)``.
-
-    Same parameters, plan and streams as :func:`sample_rr_sets` — for a
-    fixed seed the concatenated output is bit-identical across worker
-    counts *and* storage modes — but the result is the flat form the
-    hyper-graph stores: ``int64`` per-edge sizes and the member stream in
-    the dtype policy's member width (see :mod:`repro.rrset.storage`).
-
-    ``storage`` selects the transport:
-
-    * ``"heap"`` (default) — chunks pickle their sampled arrays back to
-      the coordinator (the classic path), which concatenates and casts.
-    * ``"shared"`` — each chunk writes its members into a disjoint
-      memory-mapped slab file under a per-run :class:`SlabStore`
-      directory (``slab_dir`` or ``REPRO_SLAB_DIR`` or ``/dev/shm``),
-      and only a ~100-byte receipt is pickled; the coordinator assembles
-      the CSR arrays straight from the slabs and removes them.  At large
-      ``theta`` this removes the dominant transfer cost of pooled
-      sampling.
-
-    The ``storage.*`` metrics record the actual pickle volume of each
-    mode, which ``python -m repro.rrset.bench --scale`` reports as
-    bytes-pickled-per-chunk.
-
-    ``backing`` selects where the *assembled* CSR arrays live:
-    ``"heap"``/``None`` allocates ordinary arrays, ``"mmap"`` (shared
-    storage only) copies slab contents straight into spill files under
-    ``spill_dir`` (or ``REPRO_SPILL_DIR`` or the system temp dir), so
-    the coordinator's resident set stays independent of ``theta``.
-    Contents are bit-identical either way.
-    """
-    from repro.utils.spill import peak_rss_mb, resolve_backing
-
-    mode = resolve_storage(storage)
-    backing_mode = resolve_backing(backing)
-    if backing_mode == "mmap" and mode != "shared":
-        from repro.exceptions import StorageError
-
-        raise StorageError(
-            "backing='mmap' requires storage='shared' (heap transport "
-            "concatenates on the coordinator heap)"
-        )
     dtype = member_dtype(model.num_nodes)
-    metrics = get_metrics()
-
-    if mode == "heap":
-        rr_sets = sample_rr_sets(
-            model,
-            count,
-            seed=seed,
-            roots=roots,
-            deadline=deadline,
-            workers=workers,
-            chunk_size=chunk_size,
-            start_at=start_at,
-            supervision=supervision,
-        )
-        sizes = np.fromiter(
-            (rr.size for rr in rr_sets), dtype=np.int64, count=len(rr_sets)
-        )
-        if rr_sets:
-            members = np.concatenate(rr_sets).astype(dtype, copy=False)
-        else:
-            members = np.empty(0, dtype=dtype)
-        # What the member arrays cost (or would cost, inline) on the
-        # pickle channel: their full sampled width, 8 bytes per member.
-        metrics.inc(
-            "storage.pickled_bytes_total", int(sum(rr.nbytes for rr in rr_sets))
-        )
-        metrics.inc("storage.heap_samples_total")
-        return sizes, members
-
-    plan = _sampling_plan(model, count, seed, roots, chunk_size, start_at)
     if plan is None:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=dtype),
-        )
-    planned_sizes, base_args = plan
-    chunk_args = [
-        (index, *args) for index, args in enumerate(base_args)
-    ]
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=dtype)
+    planned_sizes, chunk_args = plan
     budget = as_deadline(deadline)
-    store = SlabStore.create(slab_dir)
-    try:
-        with get_tracer().span(
-            "rrset.sample_csr",
-            theta=count,
-            chunks=len(planned_sizes),
-            start_at=start_at,
-            storage="shared",
-            slab_dir=store.directory,
-        ) as span:
-            refs, expired = run_chunks(
-                _rr_slab_chunk_task,
-                (model, store, np.dtype(dtype).str),
+    metrics = get_metrics()
+    tracer = get_tracer()
+    with tracer.span(
+        "rrset.sample",
+        theta=count,
+        chunks=len(planned_sizes),
+        start_at=start_at,
+        storage=placement.kind,
+    ) as span:
+        if placement.kind != "heap":
+            store = SlabStore.create(placement.slab_dir)
+            try:
+                refs, expired = run_chunks(
+                    _rr_slab_chunk_task,
+                    (model, store, dtype.str),
+                    [(index, *args) for index, args in enumerate(chunk_args)],
+                    workers=workers,
+                    deadline=budget,
+                    inject_site="sampler.chunk",
+                    supervision=supervision,
+                )
+                with tracer.span(
+                    "storage.assemble", chunks=len(refs), backing=placement.kind
+                ) as assemble_span:
+                    sizes, members = store.assemble(refs, dtype, placement)
+                    assemble_span.set(
+                        produced=int(sizes.size),
+                        total_members=int(members.size),
+                        slab_bytes=int(members.nbytes + sizes.nbytes),
+                    )
+            finally:
+                store.cleanup()
+            produced = [ref.count for ref in refs]
+            pickled = sum(pickled_size(ref) for ref in refs)
+            rss = peak_rss_mb()
+            if rss is not None:
+                metrics.set_gauge("storage.peak_rss_mb", rss)
+            metrics.inc("storage.slab_chunks_total", len(refs))
+            metrics.inc("storage.slab_bytes_total", int(members.nbytes))
+            metrics.inc("storage.assemblies_total")
+        else:
+            chunks, expired = run_chunks(
+                _rr_chunk_task,
+                model,
                 chunk_args,
                 workers=workers,
                 deadline=budget,
                 inject_site="sampler.chunk",
                 supervision=supervision,
             )
-            pickled = 0
-            for index, ref in enumerate(refs):
-                pickled += pickled_size(ref)
-                span.event(
-                    "chunk",
-                    index=index,
-                    planned=planned_sizes[index],
-                    produced=ref.count,
-                )
-                metrics.observe("rrset.chunk_items", ref.count)
-            with get_tracer().span(
-                "storage.assemble", chunks=len(refs), backing=backing_mode
-            ) as assemble_span:
-                sizes, members = store.assemble(
-                    refs, dtype, backing=backing_mode, spill_dir=spill_dir
-                )
-                assemble_span.set(
-                    produced=int(sizes.size),
-                    total_members=int(members.size),
-                    slab_bytes=int(members.nbytes + sizes.nbytes),
-                )
-            rss = peak_rss_mb()
-            if rss is not None:
-                metrics.set_gauge("storage.peak_rss_mb", rss)
-            produced = int(sizes.size)
-            span.set(produced=produced, truncated=expired)
-            metrics.inc("rrset.requested_total", count)
-            metrics.inc("rrset.sampled_total", produced)
-            metrics.inc("rrset.nodes_sampled_total", int(members.size))
-            metrics.inc("storage.slab_chunks_total", len(refs))
-            metrics.inc("storage.slab_bytes_total", int(members.nbytes))
-            metrics.inc("storage.pickled_bytes_total", pickled)
-            metrics.inc("storage.assemblies_total")
-            if expired:
-                metrics.inc("rrset.truncated_total")
-            if produced == 0:
-                budget.check("sampling the first RR set")
-    finally:
-        store.cleanup()
+            produced = [len(chunk) for chunk in chunks]
+            rr_sets = [rr for chunk in chunks for rr in chunk]
+            sizes = np.fromiter(
+                (rr.size for rr in rr_sets), dtype=np.int64, count=len(rr_sets)
+            )
+            members = (
+                np.concatenate(rr_sets, dtype=dtype, casting="unsafe")
+                if rr_sets
+                else np.empty(0, dtype=dtype)
+            )
+            # What the member arrays cost on the pickle channel: their
+            # full sampled width, 8 bytes per member.
+            pickled = int(sum(rr.nbytes for rr in rr_sets))
+            metrics.inc("storage.heap_samples_total")
+        # Chunk events come off the ordered results list, never from
+        # completion order, so traces stay identical across worker counts.
+        for index, items in enumerate(produced):
+            planned = planned_sizes[index]
+            span.event("chunk", index=index, planned=planned, produced=items)
+            metrics.observe("rrset.chunk_items", items)
+        span.set(produced=int(sizes.size), truncated=expired)
+        metrics.inc("rrset.requested_total", count)
+        metrics.inc("rrset.sampled_total", int(sizes.size))
+        # Total member count = the width of the CSR stream the hyper-graph
+        # build will allocate; BENCH_cd.json reports it alongside timings.
+        metrics.inc("rrset.nodes_sampled_total", int(members.size))
+        metrics.inc("storage.pickled_bytes_total", pickled)
+        if expired:
+            metrics.inc("rrset.truncated_total")
+        if sizes.size == 0:
+            budget.check("sampling the first RR set")
     return sizes, members

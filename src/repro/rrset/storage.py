@@ -1,6 +1,16 @@
-"""Slab-backed RR-set storage and the compact CSR dtype policy.
+"""Placement, slab-backed RR-set storage and the compact CSR dtype policy.
 
-Two concerns of the million-node scale push live here:
+Three concerns of the million-node scale push live here:
+
+**Placement.**  :class:`Placement` says where one build puts its bytes:
+``heap`` (sampled chunks pickle back to the coordinator, arrays on the
+heap), ``shm(slab_dir)`` (chunks travel through memory-mapped slab files,
+assembled arrays on the heap) or ``mmap(slab_dir, spill_dir)`` (slab
+transport, assembled arrays in disk-backed spill files).  The public
+entry points (:func:`repro.core.solvers.solve`, the CLI, the graph
+generators) turn their ``storage``/``slab_dir``/``backing``/``spill_dir``
+keywords into one value with :meth:`Placement.resolve`; every layer
+below takes that value.  Placement never changes a result byte.
 
 **Dtype policy.**  :class:`DtypePolicy` picks the narrowest safe width
 for each CSR array of an :class:`~repro.rrset.hypergraph.RRHypergraph`:
@@ -48,18 +58,13 @@ import shutil
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.exceptions import StorageError
 from repro.runtime.faults import maybe_inject, maybe_inject_process
-from repro.utils.spill import (  # noqa: F401 - re-exported storage vocabulary
-    BACKING_MODES,
-    SPILL_DIR_ENV_VAR,
-    empty_array,
-    resolve_backing,
-)
+from repro.utils.spill import default_spill_root, spill_array
 
 __all__ = [
     "MEMBER_SMALL_LIMIT",
@@ -67,25 +72,28 @@ __all__ = [
     "EDGE_ID_LIMIT",
     "OFFSET_LIMIT",
     "STORAGE_MODES",
-    "SLAB_DIR_ENV_VAR",
     "BACKING_MODES",
+    "SLAB_DIR_ENV_VAR",
     "SPILL_DIR_ENV_VAR",
     "member_dtype",
     "edge_id_dtype",
     "offset_dtype",
     "DtypePolicy",
+    "Placement",
+    "HEAP",
     "SlabRef",
     "SlabStore",
-    "resolve_storage",
-    "resolve_backing",
     "pickled_size",
 ]
 
-#: ``--storage`` values accepted across the library.
+#: ``storage=`` values of the public entry points.
 STORAGE_MODES = ("heap", "shared")
+#: ``backing=`` values of the public entry points.
+BACKING_MODES = ("heap", "mmap")
 
-#: Environment variable overriding where slab directories are created.
+#: Environment variables overriding the slab and spill roots.
 SLAB_DIR_ENV_VAR = "REPRO_SLAB_DIR"
+SPILL_DIR_ENV_VAR = "REPRO_SPILL_DIR"
 
 #: Node counts up to this fit member ids in ``uint8``.
 MEMBER_SMALL_LIMIT = 1 << 8
@@ -147,14 +155,88 @@ class DtypePolicy:
         )
 
 
-def resolve_storage(storage: Optional[str]) -> str:
-    """Normalize/validate a ``storage`` argument (``None`` means heap)."""
-    mode = "heap" if storage is None else str(storage)
-    if mode not in STORAGE_MODES:
-        raise StorageError(
-            f"storage must be one of {STORAGE_MODES}, got {storage!r}"
-        )
-    return mode
+def _root(arg, env_var: str, default) -> Path:
+    """A directory chosen as arg > environment variable > default."""
+    if arg is not None:
+        return Path(arg)
+    env = os.environ.get(env_var, "").strip()
+    return Path(env) if env else default()
+
+
+def _default_slab_root() -> Path:
+    shm = Path("/dev/shm")
+    if shm.is_dir() and os.access(shm, os.W_OK):
+        return shm
+    return Path(tempfile.gettempdir())
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Where one hyper-graph build puts its bytes; invalid states raise.
+
+    ``kind`` is ``"heap"`` (no directories), ``"shm"`` (slab transport
+    under ``slab_dir``, assembled arrays on the heap) or ``"mmap"`` (slab
+    transport, assembled arrays in spill files under ``spill_dir``).
+    Build one with :meth:`resolve`; the default instance is :data:`HEAP`.
+    """
+
+    kind: str = "heap"
+    slab_dir: Optional[Path] = None
+    spill_dir: Optional[Path] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("heap", "shm", "mmap"):
+            raise StorageError(f"unknown placement kind {self.kind!r}")
+        has_slabs, has_spill = self.slab_dir is not None, self.spill_dir is not None
+        if has_slabs != (self.kind != "heap") or has_spill != (self.kind == "mmap"):
+            raise StorageError(f"inconsistent placement {self!r}")
+
+    @classmethod
+    def resolve(
+        cls,
+        storage: Optional[str] = None,
+        slab_dir: Union[str, Path, None] = None,
+        backing: Optional[str] = None,
+        spill_dir: Union[str, Path, None] = None,
+    ) -> "Placement":
+        """The placement the four public keywords describe.
+
+        ``None`` means ``"heap"`` for both modes.  Directories resolve as
+        argument > environment variable (:data:`SLAB_DIR_ENV_VAR`,
+        :data:`SPILL_DIR_ENV_VAR`) > default: ``/dev/shm`` (else the
+        system temp dir) for slabs, and
+        :func:`~repro.utils.spill.default_spill_root` — never
+        ``/dev/shm`` — for spills.  A directory whose mode does not use
+        it is ignored.
+        """
+        storage = "heap" if storage is None else str(storage)
+        backing = "heap" if backing is None else str(backing)
+        if storage not in STORAGE_MODES:
+            raise StorageError(f"storage must be one of {STORAGE_MODES}, got {storage!r}")
+        if backing not in BACKING_MODES:
+            raise StorageError(f"backing must be one of {BACKING_MODES}, got {backing!r}")
+        if backing == "mmap" and storage != "shared":
+            raise StorageError(
+                "backing='mmap' requires storage='shared' (the heap transport "
+                "assembles on the coordinator heap)"
+            )
+        if storage == "heap":
+            return HEAP
+        slabs = _root(slab_dir, SLAB_DIR_ENV_VAR, _default_slab_root)
+        if backing == "heap":
+            return cls("shm", slabs)
+        spills = _root(spill_dir, SPILL_DIR_ENV_VAR, default_spill_root)
+        return cls("mmap", slabs, spills)
+
+    def empty(self, size: int, dtype, name_hint: str) -> np.ndarray:
+        """An uninitialized destination array on this placement."""
+        if self.kind == "mmap":
+            return spill_array(size, dtype, self.spill_dir, name_hint)
+        return np.empty(size, dtype=np.dtype(dtype))
+
+
+#: The default placement: everything on the coordinator heap.
+HEAP = Placement()
 
 
 @dataclass(frozen=True)
@@ -187,27 +269,14 @@ def _atomic_save(path: Path, array: np.ndarray) -> None:
             tmp.unlink()
 
 
-def _slab_root(slab_dir: Union[str, Path, None]) -> Path:
-    """Resolve where slab directories live: arg > env > /dev/shm > tmp."""
-    if slab_dir is not None:
-        return Path(slab_dir)
-    env = os.environ.get(SLAB_DIR_ENV_VAR, "").strip()
-    if env:
-        return Path(env)
-    shm = Path("/dev/shm")
-    if shm.is_dir() and os.access(shm, os.W_OK):
-        return shm
-    return Path(tempfile.gettempdir())
-
-
 @dataclass(frozen=True)
 class SlabStore:
     """One sampling run's slab directory; picklable (a path, no handles).
 
-    Create with :meth:`create` (a fresh unique directory per run), ship
-    to workers via the pool payload, and :meth:`cleanup` — or use as a
-    context manager — once the assembled arrays are owned by the
-    coordinator.  Slab files are plain ``.npy``: a crashed run's
+    Create with :meth:`create` (a fresh unique directory under a
+    placement's ``slab_dir``), ship to workers via the pool payload, and
+    :meth:`cleanup` — or use as a context manager — once the assembled
+    arrays are owned by the coordinator.  Slab files are plain ``.npy``: a crashed run's
     directory is inspectable with ``np.load`` and reclaimed by tmpfs on
     reboot at worst.
     """
@@ -215,8 +284,8 @@ class SlabStore:
     directory: str
 
     @classmethod
-    def create(cls, slab_dir: Union[str, Path, None] = None) -> "SlabStore":
-        root = _slab_root(slab_dir)
+    def create(cls, slab_dir: Union[str, Path]) -> "SlabStore":
+        root = Path(slab_dir)
         root.mkdir(parents=True, exist_ok=True)
         return cls(directory=tempfile.mkdtemp(prefix="repro-slabs-", dir=root))
 
@@ -319,50 +388,23 @@ class SlabStore:
         self,
         refs: Sequence[SlabRef],
         dtype: Union[str, np.dtype],
-        out: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-        backing: Optional[str] = None,
-        spill_dir: Union[str, Path, None] = None,
+        placement: Placement = HEAP,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Concatenate chunk slabs, in plan order, into final CSR inputs.
 
         Returns ``(sizes, members)``: ``int64`` RR-set sizes and the
         member stream in ``dtype``.  Each slab is memory-mapped and
         copied straight into its extent of the pre-allocated output —
-        one pass, no intermediate list, no pickling.
-
-        The destination is chosen by ``out``/``backing``: pass
-        ``out=(sizes, members)`` to fill caller-owned arrays (they must
-        match the totals and dtypes exactly), or ``backing="mmap"`` to
-        allocate both destinations as spill files under ``spill_dir``
-        (resolution: arg > ``REPRO_SPILL_DIR`` > system temp) so slab
-        contents never transit the coordinator heap.  The default,
-        ``backing=None``/``"heap"``, keeps the classic in-heap arrays.
-        Contents are bit-identical in every mode.
+        one pass, no intermediate list, no pickling.  Both destinations
+        are allocated on ``placement`` (spill files for ``mmap``, so slab
+        contents never transit the coordinator heap); contents are
+        bit-identical on every placement.
         """
         target = np.dtype(dtype)
-        total_edges = sum(ref.count for ref in refs)
-        total_members = sum(ref.total_members for ref in refs)
-        if out is not None:
-            sizes, members = out
-            if sizes.shape != (total_edges,) or sizes.dtype != np.int64:
-                raise StorageError(
-                    f"assemble out sizes must be int64[{total_edges}], got "
-                    f"{sizes.dtype}{list(sizes.shape)}"
-                )
-            if members.shape != (total_members,) or members.dtype != target:
-                raise StorageError(
-                    f"assemble out members must be {target.name}"
-                    f"[{total_members}], got {members.dtype}{list(members.shape)}"
-                )
-        else:
-            sizes = empty_array(
-                total_edges, np.int64, backing=backing, spill_dir=spill_dir,
-                name_hint="rr-sizes",
-            )
-            members = empty_array(
-                total_members, target, backing=backing, spill_dir=spill_dir,
-                name_hint="rr-members",
-            )
+        sizes = placement.empty(sum(ref.count for ref in refs), np.int64, "rr-sizes")
+        members = placement.empty(
+            sum(ref.total_members for ref in refs), target, "rr-members"
+        )
         edge_at = 0
         member_at = 0
         for ref in refs:

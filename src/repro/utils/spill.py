@@ -10,19 +10,19 @@ tracking graph and hyper-graph size (see ``docs/performance.md``,
 
 Three concerns live here:
 
-* **Backing resolution.**  ``backing="heap"`` (the default everywhere)
-  keeps the classic ``np.empty`` destinations; ``backing="mmap"``
-  allocates :func:`spill_array` destinations.  Both produce bit-identical
-  array *contents* — backing is a placement decision, never a results
-  decision.
+* **Placement.**  Whether an array lives on the heap or in a spill file
+  is decided once, by :class:`repro.rrset.storage.Placement` (the only
+  reader of ``REPRO_SPILL_DIR``).  Derived arrays follow their source:
+  :func:`spill_like` allocates next to a spill-backed source and on the
+  heap otherwise.  Placement never changes array *contents*.
 * **Spill lifetime.**  Spill files are created under a per-process
   session directory (removed at interpreter exit) and additionally
   unlinked by a ``weakref`` finalizer as soon as the last array view
   dies, so long-running processes do not accumulate dead spill files.
-  The spill root resolves ``spill_dir`` argument > ``REPRO_SPILL_DIR`` >
-  the system temp dir — deliberately *not* ``/dev/shm`` (the slab-store
-  default): slabs exist for zero-copy transport and want tmpfs, spills
-  exist to relieve memory and want a disk.
+  The default root (:func:`default_spill_root`) is the system temp dir
+  but never ``/dev/shm`` (the slab-store default): slabs exist for
+  zero-copy transport and want tmpfs, spills exist to relieve memory and
+  want a disk.
 * **Zero-copy pickling.**  A spill-backed array crossing the worker-pool
   boundary must not be rehydrated into a multi-GB pickle byte stream
   (numpy pickles ``np.memmap`` by value).  :func:`pack_array` turns a
@@ -46,12 +46,9 @@ import numpy as np
 from repro.exceptions import StorageError
 
 __all__ = [
-    "BACKING_MODES",
-    "SPILL_DIR_ENV_VAR",
-    "resolve_backing",
-    "resolve_spill_root",
+    "default_spill_root",
     "spill_array",
-    "empty_array",
+    "spill_like",
     "release_pages",
     "is_spill_backed",
     "pack_array",
@@ -59,36 +56,19 @@ __all__ = [
     "peak_rss_mb",
 ]
 
-#: ``--backing`` values accepted across the library.
-BACKING_MODES = ("heap", "mmap")
-
-#: Environment variable overriding where spill files are created.
-SPILL_DIR_ENV_VAR = "REPRO_SPILL_DIR"
+_SHM = Path("/dev/shm")
 
 
-def resolve_backing(backing: Optional[str]) -> str:
-    """Normalize/validate a ``backing`` argument (``None`` means heap)."""
-    mode = "heap" if backing is None else str(backing)
-    if mode not in BACKING_MODES:
-        raise StorageError(
-            f"backing must be one of {BACKING_MODES}, got {backing!r}"
-        )
-    return mode
+def default_spill_root() -> Path:
+    """The system temp dir, or ``/var/tmp`` when that lies on ``/dev/shm``.
 
-
-def resolve_spill_root(spill_dir: Union[str, Path, None] = None) -> Path:
-    """Where spill files live: arg > ``REPRO_SPILL_DIR`` > system temp.
-
-    Mirrors the slab store's resolution order (arg > env > fallback) but
-    falls back to a *disk* temp dir, never ``/dev/shm``: a spill that
-    lands on tmpfs would consume the exact memory it exists to save.
+    A spill that lands on tmpfs would consume the exact memory it exists
+    to save, so the default never resolves under ``/dev/shm``.
     """
-    if spill_dir is not None:
-        return Path(spill_dir)
-    env = os.environ.get(SPILL_DIR_ENV_VAR, "").strip()
-    if env:
-        return Path(env)
-    return Path(tempfile.gettempdir())
+    root = Path(tempfile.gettempdir())
+    if root == _SHM or _SHM in root.parents:
+        return Path("/var/tmp")
+    return root
 
 
 # Per-(process, root) spill session directories, removed at interpreter
@@ -101,7 +81,7 @@ _SPILL_COUNTER = [0]
 
 
 def _session_dir(root: Path) -> Path:
-    key = str(root)
+    key = os.path.abspath(root)
     session = _SESSION_DIRS.get(key)
     if session is None or not os.path.isdir(session):
         root.mkdir(parents=True, exist_ok=True)
@@ -124,13 +104,14 @@ def spill_array(
     spill_dir: Union[str, Path, None] = None,
     name_hint: str = "a",
 ) -> np.ndarray:
-    """Allocate a writable file-backed array in the spill directory.
+    """Allocate a writable file-backed array under ``spill_dir``.
 
-    The backing file is sized with ``ftruncate`` (sparse — blocks
-    materialize only as pages are written) and unlinked automatically
-    when the array is garbage collected.  Contents start zeroed, like
-    ``np.zeros`` — callers that relied on ``np.empty``'s garbage must
-    still overwrite every element, which they do by contract.
+    ``None`` means :func:`default_spill_root`.  The backing file is
+    sized with ``ftruncate`` (sparse — blocks materialize only as pages
+    are written) and unlinked automatically when the array is garbage
+    collected.  Contents start zeroed, like ``np.zeros`` — callers that
+    relied on ``np.empty``'s garbage must still overwrite every element,
+    which they do by contract.
     """
     dtype = np.dtype(dtype)
     shape_tuple: Tuple[int, ...] = (
@@ -140,7 +121,9 @@ def spill_array(
     if nbytes == 0:
         # mmap cannot map zero bytes; a 0-length heap array is free anyway.
         return np.empty(shape_tuple, dtype=dtype)
-    session = _session_dir(resolve_spill_root(spill_dir))
+    session = _session_dir(
+        default_spill_root() if spill_dir is None else Path(spill_dir)
+    )
     _SPILL_COUNTER[0] += 1
     path = session / f"{_SPILL_COUNTER[0]:06d}-{name_hint}.bin"
     try:
@@ -158,17 +141,26 @@ def spill_array(
     return array
 
 
-def empty_array(
+def spill_like(
+    source: np.ndarray,
     shape: Union[int, Sequence[int]],
     dtype: Union[str, np.dtype],
-    backing: Optional[str] = None,
-    spill_dir: Union[str, Path, None] = None,
     name_hint: str = "a",
 ) -> np.ndarray:
-    """``np.empty`` or :func:`spill_array`, per the resolved backing."""
-    if resolve_backing(backing) == "mmap":
-        return spill_array(shape, dtype, spill_dir=spill_dir, name_hint=name_hint)
-    return np.empty(shape, dtype=np.dtype(dtype))
+    """A destination on ``source``'s backing: heap, or a spill file.
+
+    A spill-backed ``source`` places the new array under the same spill
+    root, so derived arrays (transpose adjacency, inverted index,
+    objective state) follow the placement their input was given.
+    """
+    mapped = _memmap_of(source)
+    if mapped is None:
+        return np.empty(shape, dtype=np.dtype(dtype))
+    # A file inside a spill session names its root; any other mapped file
+    # (e.g. a graph loaded with ``load_csr(mmap=True)``) uses the default.
+    session = Path(mapped.filename or "").parent
+    root = session.parent if session.name.startswith("repro-spill-") else None
+    return spill_array(shape, dtype, spill_dir=root, name_hint=name_hint)
 
 
 def release_pages(array: np.ndarray) -> None:
@@ -193,13 +185,18 @@ def release_pages(array: np.ndarray) -> None:
         pass
 
 
-def is_spill_backed(array: np.ndarray) -> bool:
-    """True when ``array`` is (a view of) a file-backed ``np.memmap``."""
+def _memmap_of(array: np.ndarray) -> Optional[np.memmap]:
+    """The ``np.memmap`` behind ``array``, if it is (a view of) one."""
     while isinstance(array, np.ndarray):
         if isinstance(array, np.memmap):
-            return True
+            return array
         array = array.base
-    return False
+    return None
+
+
+def is_spill_backed(array: np.ndarray) -> bool:
+    """True when ``array`` is (a view of) a file-backed ``np.memmap``."""
+    return _memmap_of(array) is not None
 
 
 def _mapped_base(array: np.ndarray) -> Optional[np.memmap]:

@@ -16,7 +16,7 @@ from repro.graphs.generators import erdos_renyi
 from repro.graphs.weights import assign_weighted_cascade
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sampler import sample_rr_csr
-from repro.rrset.storage import SlabStore
+from repro.rrset.storage import HEAP, Placement, SlabStore
 from repro.runtime import FaultInjector
 
 
@@ -36,7 +36,7 @@ def _csr_identical(a, b):
 class TestWorkerKillMidSlabWrite:
     def test_redispatch_overwrites_partial_slab_bit_identical(self, model, tmp_path):
         baseline = sample_rr_csr(
-            model, 128, seed=7, chunk_size=32, workers=1, storage="heap"
+            model, 128, seed=7, chunk_size=32, workers=1, placement=HEAP
         )
         with FaultInjector(
             process_faults={"storage.slab_write": {1: "kill"}}
@@ -47,8 +47,7 @@ class TestWorkerKillMidSlabWrite:
                 seed=7,
                 chunk_size=32,
                 workers=2,
-                storage="shared",
-                slab_dir=tmp_path,
+                placement=Placement.resolve("shared", slab_dir=tmp_path),
             )
         # The kill really happened between the two renames, in a worker...
         assert ("storage.slab_write", 1, 0, "kill") in injector.process_fired
@@ -65,8 +64,7 @@ class TestWorkerKillMidSlabWrite:
                 seed=7,
                 chunk_size=32,
                 workers=2,
-                storage="shared",
-                slab_dir=tmp_path,
+                placement=Placement.resolve("shared", slab_dir=tmp_path),
             )
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])
@@ -101,7 +99,7 @@ class TestWorkerKillWithMmapDestination:
         from repro.utils.spill import is_spill_backed
 
         baseline = sample_rr_csr(
-            model, 128, seed=7, chunk_size=32, workers=1, storage="heap"
+            model, 128, seed=7, chunk_size=32, workers=1, placement=HEAP
         )
         with FaultInjector(
             process_faults={"storage.slab_write": {1: "kill"}}
@@ -112,10 +110,9 @@ class TestWorkerKillWithMmapDestination:
                 seed=7,
                 chunk_size=32,
                 workers=2,
-                storage="shared",
-                slab_dir=tmp_path,
-                backing="mmap",
-                spill_dir=tmp_path,
+                placement=Placement.resolve(
+                    "shared", slab_dir=tmp_path, backing="mmap", spill_dir=tmp_path
+                ),
             )
         assert ("storage.slab_write", 1, 0, "kill") in injector.process_fired
         # The re-dispatched chunk's slab landed in the spill-backed CSR
@@ -136,10 +133,9 @@ class TestWorkerKillWithMmapDestination:
                 seed=7,
                 chunk_size=32,
                 workers=2,
-                storage="shared",
-                slab_dir=tmp_path,
-                backing="mmap",
-                spill_dir=tmp_path,
+                placement=Placement.resolve(
+                    "shared", slab_dir=tmp_path, backing="mmap", spill_dir=tmp_path
+                ),
             )
         offsets = np.zeros(sizes.size + 1, dtype=np.int64)
         np.cumsum(sizes, out=offsets[1:])

@@ -18,6 +18,7 @@ from repro.rrset import storage as storage_mod
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
 from repro.rrset.sampler import sample_rr_csr, sample_rr_sets
+from repro.rrset.storage import Placement
 from repro.utils.spill import is_spill_backed
 
 CSR_ATTRS = ("edge_offsets", "edge_nodes", "node_offsets", "node_edges")
@@ -42,10 +43,9 @@ def _mmap_build(model, count, tmp_path, start_at=0):
         model,
         count,
         seed=5,
-        storage="shared",
-        backing="mmap",
-        slab_dir=tmp_path,
-        spill_dir=tmp_path,
+        placement=Placement.resolve(
+            "shared", slab_dir=tmp_path, backing="mmap", spill_dir=tmp_path
+        ),
         start_at=start_at,
     )
 

@@ -663,3 +663,45 @@ class TestConstraintFlags:
         )
         assert code == 0
         assert "constraints active" not in capsys.readouterr().out
+
+
+class TestPlacementFlags:
+    @pytest.mark.parametrize("storage", [[], ["--storage", "heap"]])
+    def test_mmap_without_shared_rejected_before_any_work(
+        self, tmp_path, capsys, storage
+    ):
+        # The graph path does not exist: only a check that runs before
+        # the graph is loaded can produce the placement error.
+        missing = tmp_path / "no-such-graph.txt"
+        code = main(
+            ["solve", str(missing), "--budget", "4", "--backing", "mmap", *storage]
+        )
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert "\n" not in err
+        assert "--backing" in err and "--storage" in err
+        assert "no-such-graph" not in err
+
+    def test_shared_mmap_placement_solves(self, network_file, tmp_path, capsys):
+        code = main(
+            [
+                "solve",
+                str(network_file),
+                "--budget",
+                "4",
+                "--hyperedges",
+                "300",
+                "--seed",
+                "3",
+                "--storage",
+                "shared",
+                "--slab-dir",
+                str(tmp_path / "slabs"),
+                "--backing",
+                "mmap",
+                "--spill-dir",
+                str(tmp_path / "spill"),
+            ]
+        )
+        assert code == 0
+        assert "estimated spread" in capsys.readouterr().out
