@@ -40,6 +40,7 @@ from repro.core.population import CurvePopulation
 from repro.core.problem import CIMProblem
 from repro.core.unified_discount import default_discount_grid
 from repro.exceptions import SolverError
+from repro.rrset.coverage import celf_coverage
 from repro.rrset.estimator import HypergraphObjective
 from repro.rrset.hypergraph import RRHypergraph
 
@@ -127,8 +128,11 @@ def unified_discount_expected(
     for discount in grid:
         node_probs = population.probabilities_at(float(discount))
         node_costs = float(discount) * node_probs
-        targets, covered = _greedy_under_cost(hypergraph, node_probs, node_costs, problem.budget)
-        spread = hypergraph.num_nodes * covered / hypergraph.num_hyperedges
+        cover = celf_coverage(
+            hypergraph, node_probs, n, node_costs=node_costs, budget=problem.budget
+        )
+        targets = np.asarray(cover.seeds, dtype=np.int64)
+        spread = cover.spread_estimate
         spend = float(node_costs[targets].sum()) if targets.size else 0.0
         trace.append(
             {
@@ -153,52 +157,6 @@ def unified_discount_expected(
         expected_spend=spend,
         grid=trace,
     )
-
-
-def _greedy_under_cost(
-    hypergraph: RRHypergraph,
-    node_probs: np.ndarray,
-    node_costs: np.ndarray,
-    budget: float,
-) -> tuple:
-    """Lazy greedy coverage, stopping when the cost budget is exhausted.
-
-    Returns ``(selected_node_ids, weighted_covered)``.
-    """
-    import heapq
-
-    survival = np.ones(hypergraph.num_hyperedges, dtype=np.float64)
-
-    def gain_of(node: int) -> float:
-        edges = hypergraph.incident_edges(node)
-        if edges.size == 0:
-            return 0.0
-        return float(node_probs[node] * survival[edges].sum())
-
-    heap = [(-gain_of(u), -1, u) for u in range(hypergraph.num_nodes)]
-    heapq.heapify(heap)
-    selected: List[int] = []
-    spent = 0.0
-    round_index = 0
-    taken = np.zeros(hypergraph.num_nodes, dtype=bool)
-    while heap:
-        neg_gain, stamp, node = heapq.heappop(heap)
-        if taken[node]:
-            continue
-        if spent + node_costs[node] > budget + 1e-12:
-            continue  # unaffordable now; cheaper nodes may still fit
-        if stamp != round_index:
-            heapq.heappush(heap, (-gain_of(node), round_index, node))
-            continue
-        if -neg_gain <= 0.0:
-            break
-        selected.append(node)
-        taken[node] = True
-        spent += float(node_costs[node])
-        survival[hypergraph.incident_edges(node)] *= 1.0 - node_probs[node]
-        round_index += 1
-    covered = float((1.0 - survival).sum())
-    return np.asarray(selected, dtype=np.int64), covered
 
 
 @dataclass

@@ -128,6 +128,8 @@ def unified_discount(
     expired = False
     metrics = get_metrics()
     polls = 0
+    heap_evals = 0
+    lazy_reevals = 0
     with get_tracer().span("solver.ud", grid_size=int(grid.size)) as span:
         with timings.phase("grid_search"):
             for discount in grid:
@@ -149,6 +151,8 @@ def unified_discount(
                 coverage = weighted_max_coverage(
                     hypergraph, node_probs, num_targets, candidates=candidates
                 )
+                heap_evals += coverage.heap_seeds
+                lazy_reevals += coverage.lazy_reevals
                 if constraints is not None and constraints.has_generic:
                     unified = np.zeros(n, dtype=np.float64)
                     unified[np.asarray(coverage.seeds, dtype=np.int64)] = float(
@@ -173,6 +177,8 @@ def unified_discount(
                     discount=float(discount),
                     num_targets=len(coverage.seeds),
                     spread=float(coverage.spread_estimate),
+                    heap_seeds=coverage.heap_seeds,
+                    lazy_reevals=coverage.lazy_reevals,
                 )
                 if best is None or coverage.spread_estimate > best[2]:
                     best = (float(discount), coverage.seeds, coverage.spread_estimate)
@@ -182,6 +188,8 @@ def unified_discount(
         metrics.inc("ud.runs_total")
         metrics.inc("ud.grid_points_total", len(trace))
         metrics.inc("ud.deadline_polls_total", polls)
+        metrics.inc("ud.heap_evals_total", heap_evals)
+        metrics.inc("ud.lazy_reevals_total", lazy_reevals)
         if expired:
             metrics.inc("ud.deadline_expired_total")
 

@@ -231,7 +231,10 @@ def streaming_configuration_csr(
     """
     bucket_entries = BUCKET_ENTRIES if bucket_entries is None else int(bucket_entries)
     stubs = _write_stub_spill(n, degrees, spill_dir, chunk)
-    rng.shuffle(stubs)
+    # Shuffle a plain ndarray view of the spill: on the memmap subclass
+    # NumPy swaps element by element through ``memmap.__getitem__``.  The
+    # permutation is the same either way.
+    rng.shuffle(stubs.view(np.ndarray))
     keys, key_count = _write_key_spill(stubs, n, directed, spill_dir, chunk)
     del stubs
     sorted_keys, num_edges = _sort_unique_spill(

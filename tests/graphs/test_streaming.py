@@ -104,6 +104,31 @@ class TestBitIdentity:
         _assert_same_graph(heap, mmap)
 
 
+class TestShuffleCost:
+    def test_stub_shuffle_skips_memmap_getitem(self, monkeypatch, tmp_path):
+        """The stub shuffle must run on a plain ndarray view of the spill.
+
+        ``Generator.shuffle`` on an ``np.memmap`` (an ndarray subclass)
+        swaps element by element through ``memmap.__getitem__``: about four
+        calls per stub.  The chunked passes around it need only a handful.
+        """
+        degrees = np.random.default_rng(99).integers(1, 12, size=512)
+        if degrees.sum() % 2 == 1:
+            degrees[0] += 1
+        calls = []
+        getitem = np.memmap.__getitem__
+
+        def counting_getitem(self, index):
+            calls.append(1)
+            return getitem(self, index)
+
+        monkeypatch.setattr(np.memmap, "__getitem__", counting_getitem)
+        streaming_configuration_csr(
+            512, degrees, np.random.default_rng(7), directed=True, spill_dir=tmp_path
+        )
+        assert len(calls) < int(degrees.sum()) // 10
+
+
 class TestPlacement:
     def test_mmap_arrays_are_spill_backed(self):
         graph = powerlaw_configuration(
